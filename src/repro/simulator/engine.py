@@ -1,11 +1,13 @@
-"""Fast-path engine for the detailed simulator.
+"""The fast detailed-simulation engine.
 
-This module is the optimized twin of the reference loop in
-:mod:`repro.simulator.processor`.  It simulates exactly the same machine
-— same phase order within a cycle (retire, issue, dispatch, fetch), same
-structural limits, same miss-event handling — and is asserted cycle-exact
-against the reference by ``tests/simulator/test_engine_equivalence.py``.
-What changes is purely the algorithm:
+This module holds the one optimized cycle loop; the reference loop in
+:mod:`repro.simulator.processor` is its oracle.  It simulates exactly the
+same machine — same phase order within a cycle (retire, issue, dispatch,
+fetch), same structural limits, same miss-event handling — and is
+asserted cycle-exact against the reference by
+``tests/simulator/test_engine_equivalence.py`` and the differential fuzz
+suite ``tests/simulator/test_engine_fuzz.py``.  What changes is purely
+the algorithm:
 
 * **Index-range structures.**  Dispatch and retirement are both in
   program order, so the ROB always holds the contiguous trace-index range
@@ -42,6 +44,14 @@ What changes is purely the algorithm:
   engine jumps straight to that cycle, charging the skipped cycles to the
   instrumentation counters in bulk — long-miss drains cost O(1) instead
   of O(ΔD) Python iterations.
+* **Segment feed.**  The per-instruction tables arrive as *segments*
+  (:func:`make_segment`): :func:`run_fast` passes one that covers the
+  whole trace and is used without a copy, a streamed run one per chunk.
+  When fetch needs instructions past the loaded end, the engine drops
+  the retired prefix from every table and shifts every live index down
+  by that amount.  The live range is bounded by ``rob_size +
+  pipeline_depth × width``, so a streamed run holds O(chunk) state; the
+  running ``origin`` is added back only in the telemetry marks.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,11 +75,68 @@ from repro.telemetry.accountant import (
     CLS_ROB_FULL,
     CLS_WINDOW_FULL,
 )
-from repro.trace.trace import Trace
+from repro.trace.trace import Dependences, Trace
 
 #: sentinel completion time for not-yet-issued instructions; any real
 #: cycle count is far below this
 _INF = 1 << 62
+
+
+class Segment(NamedTuple):
+    """A contiguous run of instructions in the form the engine reads.
+
+    The per-instruction fields are plain lists (the engine indexes them
+    once per instruction); dependences and ``events`` hold global trace
+    indices.
+    """
+
+    dep1: list[int]
+    dep2: list[int]
+    latency: list[int]
+    fetch_stall: list[int]
+    mispredicted: list[bool]
+    long_miss: list[bool]
+    #: mispredicted or long-missing: the instructions issue must look at
+    notable: list[bool]
+    #: global indices where fetch must leave the conveyor fast path
+    events: list[int]
+    mispredictions: int
+    icache_short: int
+    icache_long: int
+    dcache_long: int
+
+
+def make_segment(
+    deps: Dependences,
+    static_latency: np.ndarray,
+    annotations: EventAnnotations,
+    base: int,
+    memory_latency: int,
+) -> Segment:
+    """The segment of instructions ``[base, base + len(annotations))``.
+
+    ``static_latency`` is the per-instruction functional-unit latency;
+    the annotations' extra load-to-use latency is added here.  The
+    dependence and annotation lists are the objects' cached list views,
+    shared, not copied: the engine never writes to a segment.
+    """
+    ann = annotations
+    fs = ann.fetch_stall
+    events = np.flatnonzero((fs > 0) | ann.mispredicted) + base
+    return Segment(
+        dep1=deps.dep1_list,
+        dep2=deps.dep2_list,
+        latency=(static_latency + ann.load_extra).tolist(),
+        fetch_stall=ann.fetch_stall_list,
+        mispredicted=ann.mispredicted_list,
+        long_miss=ann.long_miss_list,
+        notable=np.logical_or(ann.mispredicted, ann.long_miss).tolist(),
+        events=events.tolist(),
+        mispredictions=int(ann.mispredicted.sum()),
+        icache_short=int(((fs > 0) & (fs < memory_latency)).sum()),
+        icache_long=int((fs >= memory_latency).sum()),
+        dcache_long=int(ann.long_miss.sum()),
+    )
 
 
 def run_fast(
@@ -82,6 +150,29 @@ def run_fast(
 
     Preconditions (the caller, :class:`DetailedSimulator`, checks them):
     the trace is non-empty and ``annotations`` matches its length.
+    """
+    segment = make_segment(
+        trace.dependences(), trace.latencies(config.latencies),
+        annotations, 0, config.hierarchy.memory_latency,
+    )
+    return run_segments(iter((segment,)), len(trace), config,
+                        name=trace.name, instrument=instrument,
+                        telemetry=telemetry)
+
+
+def run_segments(
+    segments: Iterator[Segment],
+    length: int,
+    config: ProcessorConfig,
+    name: str = "trace",
+    instrument: bool = True,
+    telemetry=None,
+) -> SimResult:
+    """Simulate ``length`` instructions fed as consecutive segments.
+
+    The caller guarantees the segments arrive in order and cover exactly
+    ``length`` instructions.  The engine pulls the next segment only when
+    fetch reaches the end of the loaded ones.
 
     ``telemetry`` is an optional :class:`repro.telemetry.Telemetry`
     session.  With one attached, every cycle — including the ones the
@@ -90,7 +181,7 @@ def run_fast(
     the identical priority order as the reference loop; with ``None``
     every collection site is skipped and the engine is unchanged.
     """
-    n = len(trace)
+    total = int(length)
     cfg = config
     width = cfg.width
     depth = cfg.pipeline_depth
@@ -98,30 +189,41 @@ def run_fast(
     rob_size = cfg.rob_size
     pipe_capacity = depth * width
 
-    deps = trace.dependences()
-    dep1 = deps.dep1_list
-    dep2 = deps.dep2_list
-    latency = (trace.latencies(cfg.latencies) + annotations.load_extra).tolist()
-    fetch_stall = annotations.fetch_stall_list
-    mispredicted = annotations.mispredicted_list
-    long_miss = annotations.long_miss_list
-    notable = np.logical_or(
-        annotations.mispredicted, annotations.long_miss
-    ).tolist()
+    # Every index below is local: global trace index minus ``origin``,
+    # the number of retired instructions dropped from the tables so far.
+    # ``n`` is the local end of the trace.
+    origin = 0
+    n = total
 
-    #: trace indices where fetch must leave the conveyor fast path
-    ev_list = np.flatnonzero(
-        (annotations.fetch_stall > 0) | annotations.mispredicted
-    ).tolist()
-    ev_list.append(n)
+    seg = next(segments)
+    dep1 = seg.dep1
+    dep2 = seg.dep2
+    latency = seg.latency
+    fetch_stall = seg.fetch_stall
+    mispredicted = seg.mispredicted
+    long_miss = seg.long_miss
+    notable = seg.notable
+    loaded_end = len(latency)   #: the tables hold [0, loaded_end)
+    #: fetch loads more segments once next_fetch passes this mark
+    load_at = loaded_end - width if loaded_end < n else n
+    misp_total = seg.mispredictions
+    ic_short = seg.icache_short
+    ic_long = seg.icache_long
+    dc_long = seg.dcache_long
+
+    #: loaded indices where fetch must leave the conveyor fast path,
+    #: closed by the sentinel ``n``
+    ev_list = seg.events + [n]
     ev_i = 0
     ev_next = ev_list[0]
 
-    complete = [_INF] * n
-    pending = [0] * n      #: unissued-producer count, valid once dispatched
-    ready_max = [0] * n    #: max completion time over already-issued producers
+    complete = [_INF] * loaded_end
+    #: unissued-producer count, valid once dispatched
+    pending = [0] * loaded_end
+    #: max completion time over already-issued producers
+    ready_max = [0] * loaded_end
     #: per-producer list of dispatched consumers blocked on it
-    waiters: list[list[int] | None] = [None] * n
+    waiters: list[list[int] | None] = [None] * loaded_end
 
     cal: dict[int, list[int]] = {}  #: wake cycle -> instructions waking then
     cal_get = cal.get
@@ -220,7 +322,7 @@ def run_fast(
                     if mispredicted[k]:
                         mispredict_issued = True
                         if tele is not None:
-                            tele.mark_mispredict(cycle, k)
+                            tele.mark_mispredict(cycle, k + origin)
                     if long_miss[k]:
                         if instrument:
                             # the ROB holds the contiguous range
@@ -228,7 +330,7 @@ def run_fast(
                             # ahead of k are exactly k - retired
                             rob_ahead.append(k - retired)
                         if tele is not None:
-                            tele.mark_long_miss(cycle, k, latency[k])
+                            tele.mark_long_miss(cycle, k + origin, latency[k])
                 w = waiters[k]
                 if w is not None:
                     waiters[k] = None
@@ -430,13 +532,81 @@ def run_fast(
                 # misprediction resolved: redirect, refill next cycle
                 if tele is not None:
                     tele.mark_branch_redirect(
-                        cycle, waiting_branch, branch_wait_start
+                        cycle, waiting_branch + origin, branch_wait_start
                     )
                 waiting_branch = -1
                 branch_resolve = -1
                 fetch_resume = cycle + 1
                 progress = True
         elif cycle >= fetch_resume and next_fetch < n:
+            if next_fetch > load_at:
+                # ---- drop the retired prefix, load the next segments --
+                # Instructions below ``retired`` are referenced by nothing
+                # live: their waiter lists are empty, dispatch skips
+                # retired producers, and the ROB, window, pipeline and
+                # calendar hold younger indices only.  Slicing copies
+                # every table, so a segment's own lists are never written.
+                drop = retired
+                origin += drop
+                n -= drop
+                retired = 0
+                next_dispatch -= drop
+                next_fetch -= drop
+                loaded_end -= drop
+                # a stale value stays below next_fetch and never matches
+                # again; waiting_branch is -1 whenever fetch runs
+                stall_paid_for -= drop
+                dep1 = dep1[drop:]
+                dep2 = dep2[drop:]
+                latency = latency[drop:]
+                fetch_stall = fetch_stall[drop:]
+                mispredicted = mispredicted[drop:]
+                long_miss = long_miss[drop:]
+                notable = notable[drop:]
+                complete = complete[drop:]
+                pending = pending[drop:]
+                ready_max = ready_max[drop:]
+                waiters = waiters[drop:]
+                if drop:
+                    # only undispatched entries still read their deps
+                    for k in range(next_dispatch, loaded_end):
+                        dep1[k] -= drop
+                        dep2[k] -= drop
+                    for k in range(next_dispatch):
+                        w = waiters[k]
+                        if w is not None:
+                            waiters[k] = [c - drop for c in w]
+                    ready = [k - drop for k in ready]
+                    nxt = [k - drop for k in nxt]
+                    wake1 = [k - drop for k in wake1]
+                    for t, bkt in cal.items():
+                        cal[t] = [k - drop for k in bkt]
+                    pipe = deque((t, e - drop) for t, e in pipe)
+                ev_list = [e - drop for e in ev_list[ev_i:-1]]
+                while loaded_end < n and next_fetch + width > loaded_end:
+                    seg = next(segments)
+                    dep1 += [d - origin for d in seg.dep1]
+                    dep2 += [d - origin for d in seg.dep2]
+                    ev_list += [e - origin for e in seg.events]
+                    latency += seg.latency
+                    fetch_stall += seg.fetch_stall
+                    mispredicted += seg.mispredicted
+                    long_miss += seg.long_miss
+                    notable += seg.notable
+                    size = len(seg.latency)
+                    complete += [_INF] * size
+                    pending += [0] * size
+                    ready_max += [0] * size
+                    waiters += [None] * size
+                    loaded_end += size
+                    misp_total += seg.mispredictions
+                    ic_short += seg.icache_short
+                    ic_long += seg.icache_long
+                    dc_long += seg.dcache_long
+                load_at = loaded_end - width if loaded_end < n else n
+                ev_list.append(n)
+                ev_i = 0
+                ev_next = ev_list[0]
             space = pipe_capacity - (next_fetch - next_dispatch)
             if space > 0:
                 m = width if width < space else space
@@ -463,7 +633,9 @@ def run_fast(
                                 front_cause = (
                                     CLS_ICACHE_L2 if long else CLS_ICACHE_L1
                                 )
-                                tele.mark_icache_stall(cycle, f, stall, long)
+                                tele.mark_icache_stall(
+                                    cycle, f + origin, stall, long
+                                )
                             break
                         next_fetch += 1
                         if mispredicted[f]:
@@ -583,20 +755,14 @@ def run_fast(
             dispatch_stall_window=stall_window,
         )
 
-    ann = annotations
     return SimResult(
-        name=trace.name,
-        instructions=n,
+        name=name,
+        instructions=total,
         cycles=cycle,
         config=cfg,
-        misprediction_count=int(ann.mispredicted.sum()),
-        icache_short_count=int(
-            ((ann.fetch_stall > 0)
-             & (ann.fetch_stall < cfg.hierarchy.memory_latency)).sum()
-        ),
-        icache_long_count=int(
-            (ann.fetch_stall >= cfg.hierarchy.memory_latency).sum()
-        ),
-        dcache_long_count=int(ann.long_miss.sum()),
+        misprediction_count=misp_total,
+        icache_short_count=ic_short,
+        icache_long_count=ic_long,
+        dcache_long_count=dc_long,
         instrumentation=instr,
     )

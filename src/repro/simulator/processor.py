@@ -72,8 +72,8 @@ def resolve_telemetry(t) -> Telemetry | None:
     ``None`` defers to ``REPRO_TELEMETRY``; ``False`` disables;
     ``True``/a :class:`TelemetryConfig`/a :class:`repro.spec.TelemetrySpec`
     collects with (those) defaults; a :class:`Telemetry` session collects
-    into it.  Shared by :class:`DetailedSimulator` and the streaming
-    engine (:mod:`repro.simulator.streaming`).
+    into it.  Shared by :class:`DetailedSimulator` and
+    :func:`repro.simulator.streaming.simulate_stream`.
     """
     if t is None:
         config = TelemetryConfig.from_env()
@@ -97,8 +97,8 @@ class DetailedSimulator:
     *reference* engine below is the direct transcription of the machine's
     per-cycle phases, while the *fast* engine
     (:mod:`repro.simulator.engine`) is event-driven with quiescent-cycle
-    skipping.  Equivalence is enforced by the regression suite; the fast
-    engine is the default.
+    skipping, and is also the engine streamed runs use.  Equivalence is
+    enforced by the regression suite; the fast engine is the default.
     """
 
     def __init__(self, config: ProcessorConfig | None = None,

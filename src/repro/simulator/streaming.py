@@ -1,621 +1,47 @@
 """Streaming detailed simulation: O(chunk) memory at any trace length.
 
-:func:`run_fast_stream` is the chunk-fed twin of
-:func:`repro.simulator.engine.run_fast`.  The event-driven machine is
-identical — same phase order, same wake-up calendar, same quiescent-cycle
-skipping — but the per-instruction tables (dependences, latencies,
-miss-event annotations) live in fixed-size *ring buffers* instead of
-whole-trace lists.  That works because the machine's live index range is
-architecturally bounded: the ROB holds ``[retired, next_dispatch)``
-(≤ ``rob_size``) and the front-end pipeline holds
-``[dispatched, fetched)`` (≤ ``pipeline_depth × width``), so no table
-entry is touched more than ``rob_size + pipe_capacity`` instructions
-behind the fetch frontier.  The ring capacity is the next power of two
-above that bound; table entries are filled from the chunk stream as
-fetch approaches the loaded frontier and recycled automatically as
-retirement advances.
-
-Dependences are renamed chunk-at-a-time by
-:class:`repro.trace.trace.StreamingRenamer` (producer map carried across
-chunks, indices global), and annotations arrive chunk-wise from
-:class:`repro.frontend.streaming.StreamingCollector` — so the whole
-pipeline, functional pass included, holds O(chunk) state.  Results are
-bit-identical to the in-memory engine for every chunk size; the test
-suite enforces it.
-
-:func:`simulate_stream` is the end-to-end entry point (the streaming
-counterpart of :meth:`repro.simulator.processor.DetailedSimulator.run`):
-functional warm-up and recording passes over the stream, then the
-streaming engine over the annotated chunks.
+:func:`simulate_stream` is the streaming counterpart of
+:meth:`repro.simulator.processor.DetailedSimulator.run`.  It runs the
+streaming functional pass (:class:`repro.frontend.streaming.
+StreamingCollector`) and feeds each annotated chunk, its dependences
+renamed by :class:`repro.trace.trace.StreamingRenamer`, to the one fast
+engine (:func:`repro.simulator.engine.run_segments`) as a segment.  The
+engine drops retired instructions as it loads segments, so the whole
+pipeline holds O(chunk) state, and results are bit-identical to the
+in-memory run for every chunk size.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import deque
-from heapq import heappop, heappush
-
-import numpy as np
+from typing import Iterator
 
 from repro.config import ProcessorConfig
 from repro.obs import spans as _spans
-from repro.simulator.results import Instrumentation, SimResult
-from repro.telemetry.accountant import (
-    CLS_BASE,
-    CLS_BRANCH,
-    CLS_DCACHE_LONG,
-    CLS_ICACHE_L1,
-    CLS_ICACHE_L2,
-    CLS_ROB_FULL,
-    CLS_WINDOW_FULL,
-)
+from repro.simulator.engine import Segment, make_segment, run_segments
+from repro.simulator.results import SimResult
 from repro.trace.trace import StreamingRenamer
 
-#: sentinel completion time for not-yet-issued instructions
-_INF = 1 << 62
 
+def _segments(feed, config: ProcessorConfig, name: str
+              ) -> Iterator[Segment]:
+    """One engine segment per ``(base, chunk, annotations)`` triple of
+    the collector's recording pass (the
+    :meth:`StreamingCollector.iter_annotated` protocol).
 
-def _ring_copy(dst: list, at: int, src: list, s0: int, count: int,
-               cap: int) -> None:
-    """Copy ``src[s0:s0+count]`` into ring ``dst`` starting at slot ``at``."""
-    end = at + count
-    if end <= cap:
-        dst[at:end] = src[s0:s0 + count]
-    else:
-        split = cap - at
-        dst[at:cap] = src[s0:s0 + split]
-        dst[0:end - cap] = src[s0 + split:s0 + count]
-
-
-def run_fast_stream(
-    annotated_chunks,
-    length: int,
-    config: ProcessorConfig,
-    name: str = "trace",
-    instrument: bool = True,
-    telemetry=None,
-) -> SimResult:
-    """Simulate ``length`` instructions fed as ``(base, chunk,
-    annotations)`` triples (the :meth:`StreamingCollector.iter_annotated`
-    protocol), holding O(chunk) table state.
-
-    The caller guarantees chunks arrive in order, cover exactly
-    ``length`` instructions, and carry annotations.
+    Each pull from the collector runs inside a ``frontend.record`` span,
+    so the recording pass is timed apart from the engine that drives it.
     """
-    n = int(length)
-    cfg = config
-    width = cfg.width
-    depth = cfg.pipeline_depth
-    win_size = cfg.window_size
-    rob_size = cfg.rob_size
-    pipe_capacity = depth * width
-
-    chunk_iter = iter(annotated_chunks)
     renamer = StreamingRenamer()
-    lat_vec = cfg.latencies.as_vector()
-    mem_lat = cfg.hierarchy.memory_latency
-
-    #: ring capacity: strictly above the maximum live span
-    #: ``(fetch frontier + width) - retired``
-    cap = 1 << (rob_size + pipe_capacity + width + 2).bit_length()
-    mask = cap - 1
-
-    dep1 = [0] * cap
-    dep2 = [0] * cap
-    latency = [0] * cap
-    fetch_stall = [0] * cap
-    mispredicted = [False] * cap
-    long_miss = [False] * cap
-    notable = [False] * cap
-    complete = [_INF] * cap
-    pending = [0] * cap    #: unissued-producer count, valid once dispatched
-    ready_max = [0] * cap  #: max completion time over issued producers
-    waiters: list[list[int] | None] = [None] * cap
-
-    rings = (dep1, dep2, latency, fetch_stall, mispredicted, long_miss,
-             notable)
-
-    #: staged (not yet ring-loaded) tables of the current chunk
-    stage: tuple[list, ...] = ()
-    st_pos = 0
-    st_len = 0
-    loaded_end = 0         #: ring holds trace range [retired, loaded_end)
-    ev_q: deque[int] = deque()  #: staged fetch-event indices (global)
-    ev_next = 0
-
-    #: whole-run miss-event totals, accumulated as chunks are staged
-    misp_total = ic_short = ic_long = dc_long = 0
-
-    cal: dict[int, list[int]] = {}
-    cal_get = cal.get
-    wt: list[int] = []
-    ready: list[int] = []
-    nxt: list[int] = []
-    wake1: list[int] = []
-
-    pipe: deque[tuple[int, int]] = deque()
-
-    next_fetch = 0
-    next_dispatch = 0
-    retired = 0
-    window_count = 0
-    fetch_resume = 0
-    stall_paid_for = -1
-    waiting_branch = -1
-    branch_resolve = -1
-    cycle = 0
-
-    hist = [0] * (width + 1)
-    window_left: list[int] = []
-    rob_ahead: list[int] = []
-    stall_window = 0
-    stall_rob = 0
-
-    tele = telemetry
-    notable_any = instrument or tele is not None
-    front_cause = CLS_BASE
-    branch_wait_start = 0
-    dispatched_t = False
-    stalled_window_t = stalled_rob_t = False
-
-    while retired < n:
-        progress = False
-        if tele is not None:
-            dispatched_t = False
-            stalled_window_t = stalled_rob_t = False
-
-        # ---- retire (in order, completed, up to width) ---------------
-        if retired < next_dispatch and complete[retired & mask] <= cycle:
-            r0 = retired
-            lim = retired + width
-            if lim > next_dispatch:
-                lim = next_dispatch
-            retired += 1
-            while retired < lim and complete[retired & mask] <= cycle:
-                retired += 1
-            progress = True
-            if tele is not None:
-                tele.retire(cycle, retired - r0)
-
-        # ---- issue (oldest-first, ready, up to width) -----------------
-        if nxt:
-            if ready:
-                ready += nxt
-                nxt = []
-            else:
-                ready, nxt = nxt, ready
-        if wake1:
-            if ready:
-                for c in wake1:
-                    insort(ready, c)
-                wake1 = []
-            else:
-                wake1.sort()
-                ready, wake1 = wake1, ready
-        if wt and wt[0] <= cycle:
-            bucket = cal.pop(heappop(wt))
-            while wt and wt[0] <= cycle:
-                bucket += cal.pop(heappop(wt))
-            if ready:
-                ready += bucket
-                ready.sort()
-            else:
-                bucket.sort()
-                ready = bucket
-        mispredict_issued = False
-        if ready:
-            cycle_1 = cycle + 1
-            issued_now = len(ready)
-            if issued_now > width:
-                issued_now = width
-            for i in range(issued_now):
-                k = ready[i]
-                km = k & mask
-                done = cycle + latency[km]
-                complete[km] = done
-                if k == waiting_branch:
-                    branch_resolve = done
-                if notable[km] and notable_any:
-                    if mispredicted[km]:
-                        mispredict_issued = True
-                        if tele is not None:
-                            tele.mark_mispredict(cycle, k)
-                    if long_miss[km]:
-                        if instrument:
-                            rob_ahead.append(k - retired)
-                        if tele is not None:
-                            tele.mark_long_miss(cycle, k, latency[km])
-                w = waiters[km]
-                if w is not None:
-                    waiters[km] = None
-                    for c in w:
-                        cm = c & mask
-                        if done > ready_max[cm]:
-                            ready_max[cm] = done
-                        p = pending[cm]
-                        if p == 1:
-                            pending[cm] = 0
-                            t = ready_max[cm]
-                            if t == cycle_1:
-                                wake1.append(c)
-                            else:
-                                bkt = cal_get(t)
-                                if bkt is None:
-                                    cal[t] = [c]
-                                    heappush(wt, t)
-                                else:
-                                    bkt.append(c)
-                        else:
-                            pending[cm] = p - 1
-            del ready[:issued_now]
-            window_count -= issued_now
-            progress = True
-        else:
-            issued_now = 0
-        if instrument:
-            hist[issued_now] += 1
-            if mispredict_issued:
-                window_left.append(window_count)
-
-        # ---- dispatch (in order, up to width, both structures) --------
-        if pipe and pipe[0][0] <= cycle:
-            d0 = next_dispatch
-            cycle_1 = cycle + 1
-            gend = pipe[0][1]
-            cnt = gend - d0
-            if (
-                cnt <= width
-                and window_count + cnt <= win_size
-                and gend - retired <= rob_size
-                and (cnt == width or len(pipe) < 2 or pipe[1][0] > cycle)
-            ):
-                pipe.popleft()
-                next_dispatch = gend
-                window_count += cnt
-                dispatched_t = True
-                for k in range(d0, gend):
-                    km = k & mask
-                    pend = 0
-                    r = 0
-                    d = dep1[km]
-                    if d >= retired:
-                        cd = complete[d & mask]
-                        if cd == _INF:
-                            pend = 1
-                            dm = d & mask
-                            w = waiters[dm]
-                            if w is None:
-                                waiters[dm] = [k]
-                            else:
-                                w.append(k)
-                        elif cd > r:
-                            r = cd
-                    d = dep2[km]
-                    if d >= retired:
-                        cd = complete[d & mask]
-                        if cd == _INF:
-                            pend += 1
-                            dm = d & mask
-                            w = waiters[dm]
-                            if w is None:
-                                waiters[dm] = [k]
-                            else:
-                                w.append(k)
-                        elif cd > r:
-                            r = cd
-                    if pend:
-                        pending[km] = pend
-                        ready_max[km] = r
-                    elif r <= cycle_1:
-                        nxt.append(k)
-                    else:
-                        bkt = cal_get(r)
-                        if bkt is None:
-                            cal[r] = [k]
-                            heappush(wt, r)
-                        else:
-                            bkt.append(k)
-                progress = True
-            else:
-                lim = d0 + width
-                stalled = False
-                while pipe:
-                    t, gend = pipe[0]
-                    if t > cycle or next_dispatch >= lim:
-                        break
-                    e = gend if gend < lim else lim
-                    while next_dispatch < e:
-                        if window_count >= win_size:
-                            stalled_window_t = True
-                            if instrument:
-                                stall_window += 1
-                            stalled = True
-                            break
-                        if next_dispatch - retired >= rob_size:
-                            stalled_rob_t = True
-                            if instrument:
-                                stall_rob += 1
-                            stalled = True
-                            break
-                        k = next_dispatch
-                        km = k & mask
-                        next_dispatch += 1
-                        window_count += 1
-                        pend = 0
-                        r = 0
-                        d = dep1[km]
-                        if d >= retired:
-                            cd = complete[d & mask]
-                            if cd == _INF:
-                                pend = 1
-                                dm = d & mask
-                                w = waiters[dm]
-                                if w is None:
-                                    waiters[dm] = [k]
-                                else:
-                                    w.append(k)
-                            elif cd > r:
-                                r = cd
-                        d = dep2[km]
-                        if d >= retired:
-                            cd = complete[d & mask]
-                            if cd == _INF:
-                                pend += 1
-                                dm = d & mask
-                                w = waiters[dm]
-                                if w is None:
-                                    waiters[dm] = [k]
-                                else:
-                                    w.append(k)
-                            elif cd > r:
-                                r = cd
-                        if pend:
-                            pending[km] = pend
-                            ready_max[km] = r
-                        elif r <= cycle_1:
-                            nxt.append(k)
-                        else:
-                            bkt = cal_get(r)
-                            if bkt is None:
-                                cal[r] = [k]
-                                heappush(wt, r)
-                            else:
-                                bkt.append(k)
-                    if stalled:
-                        break
-                    if next_dispatch >= gend:
-                        pipe.popleft()
-                    else:
-                        break
-                if next_dispatch != d0:
-                    progress = True
-                    dispatched_t = True
-
-        if tele is not None:
-            if dispatched_t:
-                front_cause = CLS_BASE
-                cls = CLS_BASE
-            elif stalled_window_t:
-                cls = CLS_WINDOW_FULL
-            elif stalled_rob_t:
-                cls = (
-                    CLS_DCACHE_LONG
-                    if long_miss[retired & mask]
-                    and complete[retired & mask] > cycle
-                    else CLS_ROB_FULL
-                )
-            elif waiting_branch >= 0:
-                cls = CLS_BRANCH
-            elif (
-                retired < next_dispatch
-                and long_miss[retired & mask]
-                and complete[retired & mask] > cycle
-            ):
-                cls = CLS_DCACHE_LONG
-            else:
-                cls = front_cause
-            tele.charge(cls, cycle)
-
-        # ---- fetch (up to width, subject to stalls) --------------------
-        if waiting_branch >= 0:
-            if branch_resolve >= 0 and cycle >= branch_resolve:
-                if tele is not None:
-                    tele.mark_branch_redirect(
-                        cycle, waiting_branch, branch_wait_start
-                    )
-                waiting_branch = -1
-                branch_resolve = -1
-                fetch_resume = cycle + 1
-                progress = True
-        elif cycle >= fetch_resume and next_fetch < n:
-            if loaded_end < n and next_fetch + width > loaded_end:
-                # ---- pull chunk tables up to the fetch horizon --------
-                while loaded_end < n and next_fetch + width > loaded_end:
-                    if st_pos == st_len:
-                        base_c, chunk, ann = next(chunk_iter)
-                        deps = renamer.rename_chunk(chunk)
-                        stage = (
-                            deps.dep1_list,
-                            deps.dep2_list,
-                            (lat_vec[chunk.opclass.astype(np.int64)]
-                             + ann.load_extra).tolist(),
-                            ann.fetch_stall.tolist(),
-                            ann.mispredicted.tolist(),
-                            ann.long_miss.tolist(),
-                            np.logical_or(
-                                ann.mispredicted, ann.long_miss
-                            ).tolist(),
-                        )
-                        ev_q.extend(
-                            (np.flatnonzero(
-                                (ann.fetch_stall > 0) | ann.mispredicted
-                            ) + base_c).tolist()
-                        )
-                        fs = ann.fetch_stall
-                        misp_total += int(ann.mispredicted.sum())
-                        ic_short += int(((fs > 0) & (fs < mem_lat)).sum())
-                        ic_long += int((fs >= mem_lat).sum())
-                        dc_long += int(ann.long_miss.sum())
-                        st_pos = 0
-                        st_len = len(chunk)
-                    take = st_len - st_pos
-                    room = cap - (loaded_end - retired)
-                    if take > room:
-                        take = room
-                    at = loaded_end & mask
-                    for ring, src in zip(rings, stage):
-                        _ring_copy(ring, at, src, st_pos, take, cap)
-                    _ring_copy(complete, at, [_INF] * take, 0, take, cap)
-                    _ring_copy(waiters, at, [None] * take, 0, take, cap)
-                    st_pos += take
-                    loaded_end += take
-                ev_next = ev_q[0] if ev_q else n
-            space = pipe_capacity - (next_fetch - next_dispatch)
-            if space > 0:
-                m = width if width < space else space
-                end = next_fetch + m
-                if end > n:
-                    end = n
-                if end <= ev_next:
-                    pipe.append((cycle + depth, end))
-                    next_fetch = end
-                    progress = True
-                else:
-                    f0 = next_fetch
-                    while next_fetch < end:
-                        f = next_fetch
-                        fm = f & mask
-                        stall = fetch_stall[fm]
-                        if stall and stall_paid_for != f:
-                            stall_paid_for = f
-                            fetch_resume = cycle + stall
-                            progress = True
-                            if tele is not None:
-                                long = stall >= mem_lat
-                                front_cause = (
-                                    CLS_ICACHE_L2 if long else CLS_ICACHE_L1
-                                )
-                                tele.mark_icache_stall(cycle, f, stall, long)
-                            break
-                        next_fetch += 1
-                        if mispredicted[fm]:
-                            waiting_branch = f
-                            branch_resolve = (
-                                complete[fm] if complete[fm] != _INF else -1
-                            )
-                            if tele is not None:
-                                front_cause = CLS_BRANCH
-                                branch_wait_start = cycle
-                            break
-                    if next_fetch != f0:
-                        pipe.append((cycle + depth, next_fetch))
-                        progress = True
-                    while ev_q and ev_q[0] < next_fetch:
-                        ev_q.popleft()
-                    ev_next = ev_q[0] if ev_q else n
-
-        if tele is not None:
-            tele.occupancy(cycle, 1, next_dispatch - retired, window_count)
-        cycle += 1
-        if progress or retired >= n:
-            continue
-
-        # ---- quiescent: jump to the next cycle anything can change ----
-        t_next = _INF
-        if retired < next_dispatch and complete[retired & mask] < t_next:
-            t_next = complete[retired & mask]
-        if wt and wt[0] < t_next:
-            t_next = wt[0]
-        if (
-            pipe
-            and window_count < win_size
-            and next_dispatch - retired < rob_size
-        ):
-            t = pipe[0][0]
-            if t < t_next:
-                t_next = t
-        if waiting_branch >= 0:
-            if 0 <= branch_resolve < t_next:
-                t_next = branch_resolve
-        elif next_fetch < n and next_fetch - next_dispatch < pipe_capacity:
-            if fetch_resume < t_next:
-                t_next = fetch_resume
-        if t_next == _INF:
-            raise RuntimeError(
-                "simulator deadlock: no schedulable event with "
-                f"{n - retired} instructions outstanding"
-            )
-        skip = t_next - cycle
-        if skip > 0:
-            if instrument:
-                hist[0] += skip
-                if pipe:
-                    head = pipe[0][0]
-                    blocked = t_next - (head if head > cycle else cycle)
-                    if blocked > 0:
-                        if window_count >= win_size:
-                            stall_window += blocked
-                        elif next_dispatch - retired >= rob_size:
-                            stall_rob += blocked
-            if tele is not None:
-                if waiting_branch >= 0:
-                    idle_cls = CLS_BRANCH
-                elif (
-                    retired < next_dispatch
-                    and long_miss[retired & mask]
-                    and complete[retired & mask] > cycle
-                ):
-                    idle_cls = CLS_DCACHE_LONG
-                else:
-                    idle_cls = front_cause
-                if pipe:
-                    head = pipe[0][0]
-                    split = head if head > cycle else cycle
-                    if split > t_next:
-                        split = t_next
-                    if split > cycle:
-                        tele.charge(idle_cls, cycle, split - cycle)
-                    if t_next > split:
-                        if window_count >= win_size:
-                            blocked_cls = CLS_WINDOW_FULL
-                        elif next_dispatch - retired >= rob_size:
-                            blocked_cls = (
-                                CLS_DCACHE_LONG
-                                if long_miss[retired & mask]
-                                and complete[retired & mask] > cycle
-                                else CLS_ROB_FULL
-                            )
-                        else:  # pragma: no cover — see span-split note
-                            blocked_cls = idle_cls
-                        tele.charge(blocked_cls, split, t_next - split)
-                else:
-                    tele.charge(idle_cls, cycle, skip)
-                tele.occupancy(
-                    cycle, skip, next_dispatch - retired, window_count
-                )
-            cycle = t_next
-
-    instr = None
-    if instrument:
-        instr = Instrumentation(
-            issued_histogram=np.array(hist, dtype=np.int64),
-            window_left_at_mispredict=window_left,
-            rob_ahead_at_long_miss=rob_ahead,
-            dispatch_stall_rob=stall_rob,
-            dispatch_stall_window=stall_window,
-        )
-
-    return SimResult(
-        name=name,
-        instructions=n,
-        cycles=cycle,
-        config=cfg,
-        misprediction_count=misp_total,
-        icache_short_count=ic_short,
-        icache_long_count=ic_long,
-        dcache_long_count=dc_long,
-        instrumentation=instr,
-    )
+    mem_lat = config.hierarchy.memory_latency
+    while True:
+        with _spans.span("frontend.record", workload=name):
+            item = next(feed, None)
+        if item is None:
+            return
+        base, chunk, ann = item
+        yield make_segment(renamer.rename_chunk(chunk),
+                           chunk.latencies(config.latencies),
+                           ann, base, mem_lat)
 
 
 def simulate_stream(
@@ -629,8 +55,8 @@ def simulate_stream(
 
     Runs the streaming functional pass (warm-up + recording, carrying
     cache/predictor state across chunks) and feeds the annotated chunks
-    straight into :func:`run_fast_stream` — no trace, annotation array,
-    or dependence table is ever materialized whole.  Bit-identical to
+    straight into the engine — no trace, annotation array, or dependence
+    table is ever materialized whole.  Bit-identical to
     ``DetailedSimulator.run`` on the materialized trace.
     """
     from repro.frontend.collector import CollectorConfig
@@ -648,13 +74,12 @@ def simulate_stream(
         ideal_predictor=cfg.ideal_predictor,
     ))
     tele = resolve_telemetry(telemetry)
-    feed = collector.iter_annotated(stream, annotate=True)
+    segments = _segments(collector.iter_annotated(stream, annotate=True),
+                         cfg, stream.name)
     with _spans.span("sim.stream.engine", workload=stream.name,
                      instructions=n):
-        result = run_fast_stream(feed, n, cfg, name=stream.name,
-                                 instrument=instrument, telemetry=tele)
-        for _ in feed:  # drain the tail; the collector finalizes its profile
-            pass
+        result = run_segments(segments, n, cfg, name=stream.name,
+                              instrument=instrument, telemetry=tele)
     if tele is not None:
         with _spans.span("telemetry.finish", workload=stream.name):
             tele.finish(stream.name, result.instructions, result.cycles)

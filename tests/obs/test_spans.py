@@ -150,3 +150,27 @@ class TestContextTransport:
             with span("woken"):
                 pass
         assert [s["name"] for s in drain()] == ["woken"]
+
+
+class TestStreamedRunStages:
+    def test_recording_pass_has_its_own_span(self):
+        """The streamed recording pass is timed apart from the engine:
+        one ``frontend.record`` span per chunk pull, nested in
+        ``sim.stream.engine``, with a positive total."""
+        from repro.simulator.streaming import simulate_stream
+        from repro.trace.chunks import TraceChunkStream
+        from repro.trace.vectorgen import stream_chunks
+
+        n, chunk_size = 3000, 1000
+        stream = TraceChunkStream(
+            lambda: stream_chunks("gzip", n, chunk_size=chunk_size),
+            name="gzip", length=n, chunk_size=chunk_size,
+        )
+        _spans.enable(True)
+        simulate_stream(stream, instrument=False, telemetry=False)
+        records = drain()
+        (engine,) = [s for s in records if s["name"] == "sim.stream.engine"]
+        record = [s for s in records if s["name"] == "frontend.record"]
+        assert len(record) == n // chunk_size
+        assert all(s["parent_id"] == engine["span_id"] for s in record)
+        assert sum(s["duration_s"] for s in record) > 0

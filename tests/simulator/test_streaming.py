@@ -1,8 +1,9 @@
 """Streaming pipeline equivalence: chunked execution is bit-identical.
 
 The streaming functional pass, the streaming trace analyzer, and the
-ring-buffer streaming engine must reproduce the in-memory pipeline's
-outputs exactly — same cycles, same counts, same instrumentation, same
+fast engine fed one segment per chunk (rebasing its indices as it drops
+retired instructions) must reproduce the in-memory pipeline's outputs
+exactly — same cycles, same counts, same instrumentation, same
 profile, same telemetry — for every chunk size.  Chunk size is a memory
 knob, never a semantic one.
 """
